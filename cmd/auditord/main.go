@@ -38,33 +38,32 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
-	"os"
-	"os/signal"
 	"strings"
-	"sync"
-	"syscall"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/aolog"
 	"repro/internal/bls"
-	"repro/internal/bls12381"
-	"repro/internal/fault"
+	"repro/internal/daemon"
 	"repro/internal/gossip"
 	"repro/internal/obsv"
 	"repro/internal/serve"
 	"repro/internal/transport"
 )
 
-// logger is the daemon-wide structured logger (component=auditord).
-var logger = obsv.NewLogger(os.Stderr, "auditord", nil)
+// kit is the plumbing shared with the other daemons; New registers its flags.
+var kit = daemon.New("auditord")
 
-func fatal(msg string, args ...any) {
-	logger.Error(msg, args...)
-	os.Exit(1)
-}
+// The frontier-lag watchdog: the witness degrades once its worst source
+// lag stays above lagThreshold leaves for lagDeadline.
+const (
+	lagDeadline  = 30 * time.Second
+	lagThreshold = 1024
+)
 
 // sourceConn is one watched monitor. The connection is managed — lazy
 // reconnect, retry/backoff, circuit breaker — so a monitor restart or a
@@ -73,13 +72,6 @@ type sourceConn struct {
 	name string
 	addr string
 	conn *transport.ManagedClient
-}
-
-type monitorInfo struct {
-	Name   string `json:"name"`
-	BLSKey []byte `json:"bls_key"`
-	Shards int    `json:"shards"`
-	Size   uint64 `json:"size"`
 }
 
 type pullResponse struct {
@@ -101,62 +93,16 @@ func main() {
 		dataDir    = flag.String("data", "", "durable storage directory; empty runs in-memory (cosigning key and evidence are lost on exit)")
 		interval   = flag.Duration("interval", 0, "automatic pull+gossip period (0 = RPC-driven only)")
 		subscribe  = flag.Bool("subscribe", false, "subscribe to head pushes from every source instead of relying on polling alone")
-		metrics    = flag.String("metrics", "", "observability HTTP address (/metrics, /healthz, /readyz, /traces, /slo, /debug/flight, pprof); empty disables")
 		traceEvery = flag.Int("trace", 64, "sample one in N requests for tracing (0 disables local roots)")
-
-		lagDeadline = flag.Duration("lag-deadline", 30*time.Second, "frontier-lag watchdog deadline: how long the worst source lag may stay above -lag-threshold before the witness degrades (0 disables)")
-		lagMax      = flag.Uint64("lag-threshold", 1024, "frontier-lag watchdog threshold (leaves)")
-		sloInterval = flag.Duration("slo-interval", obsv.DefaultSLOInterval, "SLO burn-rate sampling interval")
-
-		rpcTimeout    = flag.Duration("rpc-timeout", 10*time.Second, "per-call deadline (and connect timeout) on RPCs to sources and peers; 0 disables")
-		debugHooks    = flag.Bool("debug-hooks", false, "enable fault-injection flags — test deployments only")
-		faultSchedule = flag.String("fault-schedule", "", "deterministic fault-injection schedule file (requires -debug-hooks)")
-		faultTarget   = flag.String("fault-target", "auditord", "target name this process matches in the fault schedule")
+		rpcTimeout = flag.Duration("rpc-timeout", 10*time.Second, "per-call deadline (and connect timeout) on RPCs to sources and peers; 0 disables")
 	)
 	flag.Parse()
 	if *sources == "" {
-		fatal("need at least one -sources name=addr entry")
+		kit.Fatal("need at least one -sources name=addr entry")
 	}
-
-	reg := obsv.NewRegistry()
-	health := obsv.NewHealth()
-	health.Register(reg)
-	tracer := obsv.NewTracer(*traceEvery)
-	tracer.Register(reg)
-	tracer.SetLogger(logger)
-	bls.RegisterMetrics(reg)
-	bls12381.RegisterMetrics(reg)
-
-	// Diagnosis plane: flight recorder (dumped on panic, SIGQUIT, or a
-	// readiness flip), frontier-lag watchdog, SLO burn-rate engine.
-	fr := obsv.NewFlightRecorder(obsv.DefaultFlightSize)
-	fr.Register(reg)
-	diagDir := *dataDir
-	if diagDir == "" {
-		diagDir = os.TempDir()
-	}
-	defer fr.DumpOnPanic(diagDir, "auditord")
-	dogs := obsv.NewWatchdogSet("auditord", diagDir, fr)
-	dogs.SetLogger(logger)
-
-	// Chaos plane (see cmd/monitord): deterministic seeded fault
-	// injection on every dial, accept, and I/O this process performs.
-	var inj *fault.Injector
-	if *faultSchedule != "" {
-		if !*debugHooks {
-			fatal("-fault-schedule requires -debug-hooks")
-		}
-		sched, err := fault.LoadSchedule(*faultSchedule)
-		if err != nil {
-			fatal("loading fault schedule", "err", err)
-		}
-		inj = fault.Activate(sched, *faultTarget)
-		inj.SetFlightRecorder(fr)
-		transport.SetDialHook(inj.Dial)
-		transport.SetListenerWrap(inj.Listener)
-		logger.Info("chaos plane armed", "schedule", *faultSchedule,
-			"target", *faultTarget, "seed", sched.Seed, "rules", len(sched.Rules))
-	}
+	kit.Boot(*dataDir)
+	defer kit.Flight.DumpOnPanic(kit.DiagDir, kit.Name)
+	kit.Trace(*traceEvery)
 
 	// Every source and peer RPC kind this witness issues is idempotent
 	// (head/consistency reads and monotone gossip merges), so the managed
@@ -165,7 +111,7 @@ func main() {
 		ConnectTimeout: *rpcTimeout,
 		CallTimeout:    *rpcTimeout,
 		OnRetry: func(kind string, attempt int, err error) {
-			logger.Warn("rpc retry", "kind", kind, "attempt", attempt, "err", err)
+			kit.Logger.Warn("rpc retry", "kind", kind, "attempt", attempt, "err", err)
 		},
 	}
 
@@ -176,59 +122,60 @@ func main() {
 		// survives restarts — frontiers resume instead of re-TOFUing.
 		witness, rec, err := gossip.OpenWitness(*dataDir, gossip.Config{Name: *name})
 		if err != nil {
-			fatal("opening witness journal", "err", err, "data", *dataDir)
+			kit.Fatal("opening witness journal", "err", err, "data", *dataDir)
 		}
 		w = witness
-		logger.Info("recovered evidence", "heads", rec.Heads, "cosigs", rec.Cosigs,
+		kit.Logger.Info("recovered evidence", "heads", rec.Heads, "cosigs", rec.Cosigs,
 			"proofs", rec.Proofs, "pending", rec.Pending)
 	} else {
 		key, _, err := bls.GenerateKey()
 		if err != nil {
-			fatal("keygen", "err", err)
+			kit.Fatal("keygen", "err", err)
 		}
 		w, err = gossip.NewWitness(gossip.Config{Name: *name, Key: key})
 		if err != nil {
-			fatal("creating witness", "err", err)
+			kit.Fatal("creating witness", "err", err)
 		}
 	}
-	w.RegisterMetrics(reg)
-	w.SetFlightRecorder(fr)
+	w.RegisterMetrics(kit.Registry)
+	w.SetFlightRecorder(kit.Flight)
 	// A witness whose evidence journal can no longer be written must not
 	// look ready: its cosignatures would not survive a restart.
-	health.Set("witness-journal", w.Err)
+	kit.Health.Set("witness-journal", w.Err)
 	// A frontier stuck far behind the largest signed size seen means
 	// this witness cannot advance (missing consistency proofs, a wedged
 	// source, or an equivocating log): degraded, with profiles.
-	if *lagDeadline > 0 {
-		dogs.AddProbe("gossip-frontier-lag", *lagDeadline, func() (bool, string) {
-			if lag := w.FrontierLagMax(); lag > *lagMax {
-				return true, fmt.Sprintf("worst source lag %d leaves", lag)
-			}
-			return false, ""
-		})
-	}
+	kit.Dogs.AddProbe("gossip-frontier-lag", lagDeadline, func() (bool, string) {
+		if lag := w.FrontierLagMax(); lag > lagThreshold {
+			return true, fmt.Sprintf("worst source lag %d leaves", lag)
+		}
+		return false, ""
+	})
 
 	// Connect to sources; fetch their tree-head keys (TOFU for the demo).
 	var srcs []*sourceConn
 	for _, entry := range strings.Split(*sources, ",") {
 		parts := strings.SplitN(strings.TrimSpace(entry), "=", 2)
 		if len(parts) != 2 {
-			fatal("bad -sources entry (want name=addr)", "entry", entry)
+			kit.Fatal("bad -sources entry (want name=addr)", "entry", entry)
 		}
 		sc := &sourceConn{name: parts[0], addr: parts[1]}
 		sc.conn = transport.DialManaged(sc.addr, mopts)
-		var info monitorInfo
+		var info struct {
+			BLSKey []byte `json:"bls_key"`
+			Size   uint64 `json:"size"`
+		}
 		if err := sc.conn.Call("info", struct{}{}, &info); err != nil {
-			fatal("fetching source identity", "source", sc.name, "err", err)
+			kit.Fatal("fetching source identity", "source", sc.name, "err", err)
 		}
 		pk := new(bls.PublicKey)
 		if err := pk.SetBytes(info.BLSKey); err != nil {
-			fatal("bad source BLS key", "source", sc.name, "err", err)
+			kit.Fatal("bad source BLS key", "source", sc.name, "err", err)
 		}
 		if err := w.AddSource(gossip.Source{Name: sc.name, Key: pk}); err != nil {
-			fatal("adding source", "source", sc.name, "err", err)
+			kit.Fatal("adding source", "source", sc.name, "err", err)
 		}
-		logger.Info("watching source", "source", sc.name, "addr", sc.addr, "size", info.Size)
+		kit.Logger.Info("watching source", "source", sc.name, "addr", sc.addr, "size", info.Size)
 		srcs = append(srcs, sc)
 	}
 
@@ -237,22 +184,20 @@ func main() {
 	// drops mid-round is retried and, if persistently dead, its circuit
 	// opens so rounds skip it cheaply until it heals.
 	var peerConns []*gossip.Peer
-	if *peers != "" {
-		for _, addr := range strings.Split(*peers, ",") {
-			p := gossip.NewPeer(transport.DialManaged(strings.TrimSpace(addr), mopts))
-			info, err := p.Info()
-			if err != nil {
-				fatal("fetching peer identity", "peer", addr, "err", err)
-			}
-			pk := new(bls.PublicKey)
-			if err := pk.SetBytes(info.PublicKey); err != nil {
-				fatal("bad peer key", "peer", addr, "err", err)
-			}
-			if err := w.AddWitness(pk); err != nil {
-				fatal("adding peer witness", "peer", addr, "err", err)
-			}
-			peerConns = append(peerConns, p)
+	for _, addr := range strings.FieldsFunc(*peers, func(r rune) bool { return r == ',' }) {
+		p := gossip.NewPeer(transport.DialManaged(strings.TrimSpace(addr), mopts))
+		info, err := p.Info()
+		if err != nil {
+			kit.Fatal("fetching peer identity", "peer", addr, "err", err)
 		}
+		pk := new(bls.PublicKey)
+		if err := pk.SetBytes(info.PublicKey); err != nil {
+			kit.Fatal("bad peer key", "peer", addr, "err", err)
+		}
+		if err := w.AddWitness(pk); err != nil {
+			kit.Fatal("adding peer witness", "peer", addr, "err", err)
+		}
+		peerConns = append(peerConns, p)
 	}
 
 	// pull fetches every source, tolerating per-source failures: one dead
@@ -262,7 +207,7 @@ func main() {
 		var errs []string
 		for _, sc := range srcs {
 			if err := pullSource(w, sc); err != nil {
-				logger.Warn("pull failed", "source", sc.name, "err", err)
+				kit.Logger.Warn("pull failed", "source", sc.name, "err", err)
 				errs = append(errs, err.Error())
 			}
 		}
@@ -282,15 +227,18 @@ func main() {
 		publishFrontier()
 		return pullResponse{Heads: w.FrontierHeads(), Errors: errs}, nil
 	})
-	srv.Handle("round", func(json.RawMessage) (any, error) {
+	// round pulls every source, gossips with every peer, and publishes
+	// whatever frontier the two reached, even when gossip failed.
+	round := func() (*roundResponse, error) {
 		errs := pull()
 		sum, err := w.Round(peerConns)
+		publishFrontier()
 		if err != nil {
 			return nil, err
 		}
-		publishFrontier()
-		return roundResponse{RoundSummary: *sum, PullErrors: errs}, nil
-	})
+		return &roundResponse{RoundSummary: *sum, PullErrors: errs}, nil
+	}
+	srv.Handle("round", func(json.RawMessage) (any, error) { return round() })
 	srv.Handle("proofs", func(json.RawMessage) (any, error) {
 		return w.Proofs(), nil
 	})
@@ -302,87 +250,51 @@ func main() {
 	var autos []*serve.AutoSubscriber
 	if *subscribe {
 		for _, sc := range srcs {
-			auto, err := subscribeSource(w, sc, *rpcTimeout, inj, publishFrontier)
+			auto, err := subscribeSource(w, sc, *rpcTimeout, publishFrontier)
 			if err != nil {
-				fatal("subscribing to source", "source", sc.name, "err", err)
+				kit.Fatal("subscribing to source", "source", sc.name, "err", err)
 			}
 			autos = append(autos, auto)
 		}
 	}
-	srv.Instrument(reg, tracer)
-	srv.SetFlightRecorder(fr)
 
-	slo := obsv.NewSLOEngine(reg, obsv.DefaultWitnessSLOs(), *sloInterval)
-	slo.Register(reg)
-	slo.Start()
-	dogs.Register(reg)
-	dogs.BindHealth(health)
-	dogs.Start(100 * time.Millisecond)
-	stopDumps := fr.ArmDumps(diagDir, "auditord", health, logger)
-
-	var ms *obsv.MetricsServer
-	if *metrics != "" {
-		var err error
-		ms, err = obsv.Endpoint{
-			Daemon:   "auditord",
-			Registry: reg,
-			Health:   health,
-			Tracer:   tracer,
-			Flight:   fr,
-			SLO:      slo,
-		}.ListenAndServe(*metrics)
-		if err != nil {
-			fatal("metrics endpoint", "err", err)
-		}
-		logger.Info("observability endpoint up", "addr", ms.Addr)
-	}
-
-	ln, err := net.Listen("tcp", *listen)
-	if err != nil {
-		fatal("listen", "addr", *listen, "err", err)
-	}
-	srv.Serve(ln)
+	addr := kit.Start(obsv.DefaultWitnessSLOs(), srv, *listen)
 	kb := w.PublicKey().Bytes()
-	logger.Info("serving", "addr", ln.Addr().String(), "sources", len(srcs),
+	kit.Logger.Info("serving", "addr", addr, "sources", len(srcs),
 		"peers", len(peerConns), "subscribed", *subscribe,
 		"cosigning_key", fmt.Sprintf("%x", kb[:]))
 
 	if *interval > 0 {
-		ticker := time.NewTicker(*interval)
-		defer ticker.Stop()
-		go func() {
-			for range ticker.C {
-				pull() // per-source failures already logged; keep gossiping
-				if sum, err := w.Round(peerConns); err != nil {
-					logger.Warn("gossip round failed", "err", err)
-				} else if sum.NewProofs > 0 {
-					logger.Warn("new equivocation proofs", "count", sum.NewProofs)
-				}
-				publishFrontier()
+		kit.Every(*interval, func() {
+			if sum, err := round(); err != nil {
+				kit.Logger.Warn("gossip round failed", "err", err)
+			} else if sum.NewProofs > 0 {
+				kit.Logger.Warn("new equivocation proofs", "count", sum.NewProofs)
 			}
-		}()
+		})
 	}
 
-	// Clean shutdown: stop serving, then flush the evidence journal.
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	got := <-sig
-	logger.Info("shutting down", "signal", got.String())
-	srv.Close()
+	// Clean shutdown: closing the push channels and the source and peer
+	// connections releases the round loop and push workers mid-call;
+	// kit.Close waits for them, so nothing ingests into the witness once
+	// its evidence journal is flushed and closed.
+	kit.Wait()
 	for _, a := range autos {
 		a.Close()
 	}
-	stopDumps()
-	dogs.Close()
-	slo.Close()
-	if ms != nil {
-		ms.Close()
+	for _, sc := range srcs {
+		sc.conn.Close()
 	}
+	for _, p := range peerConns {
+		p.Close()
+	}
+	srv.Close()
+	kit.Close()
 	if err := w.Close(); err != nil {
-		fatal("flushing journal", "err", err)
+		kit.Fatal("flushing journal", "err", err)
 	}
 	if *dataDir != "" {
-		logger.Info("journal flushed", "data", *dataDir)
+		kit.Logger.Info("journal flushed", "data", *dataDir)
 	}
 }
 
@@ -400,24 +312,21 @@ func main() {
 // cosigned frontier onward. While the channel is down the polling path
 // keeps the witness correct; the subscription catches back up on its
 // own when the source heals.
-func subscribeSource(w *gossip.Witness, sc *sourceConn, dialTimeout time.Duration, inj *fault.Injector, publish func()) (*serve.AutoSubscriber, error) {
+func subscribeSource(w *gossip.Witness, sc *sourceConn, dialTimeout time.Duration, publish func()) (*serve.AutoSubscriber, error) {
 	if dialTimeout <= 0 {
 		dialTimeout = transport.DefaultDialTimeout
 	}
-	var mu sync.Mutex
-	var latest *gossip.GossipHead
+	var latest atomic.Pointer[gossip.GossipHead]
 	kick := make(chan struct{}, 1)
 	auto, err := serve.NewAutoSubscriber(serve.AutoOptions{
 		From: w.Name(),
 		// Dial through the injector so chaos schedules partition the push
 		// channel too (a nil injector dials plainly).
-		Dial: func() (net.Conn, error) { return inj.Dial(sc.addr, dialTimeout) },
+		Dial: func() (net.Conn, error) { return kit.Fault.Dial(sc.addr, dialTimeout) },
 		OnHeads: func(_ string, heads []gossip.GossipHead) {
 			// Read-loop context: park the newest head and return. Calling
 			// auto.Call here would deadlock (the response needs this loop).
-			mu.Lock()
-			latest = &heads[len(heads)-1]
-			mu.Unlock()
+			latest.Store(&heads[len(heads)-1])
 			select {
 			case kick <- struct{}{}:
 			default:
@@ -426,81 +335,78 @@ func subscribeSource(w *gossip.Witness, sc *sourceConn, dialTimeout time.Duratio
 		OnState: func(event string, err error) {
 			switch event {
 			case "connected":
-				logger.Info("push channel up", "source", sc.name)
+				kit.Logger.Info("push channel up", "source", sc.name)
 			case "disconnected":
-				logger.Warn("push channel lost, reconnecting (polling continues)", "source", sc.name, "err", err)
+				kit.Logger.Warn("push channel lost, reconnecting (polling continues)", "source", sc.name, "err", err)
 			}
 		},
 	})
 	if err != nil {
 		return nil, err
 	}
-	go func() {
-		for range kick {
-			mu.Lock()
-			gh := latest
-			latest = nil
-			mu.Unlock()
+	kit.Go(func(stop <-chan struct{}) {
+		for {
+			select {
+			case <-stop:
+				return
+			case <-kick:
+			}
+			gh := latest.Swap(nil)
 			if gh == nil {
 				continue
 			}
-			var cons *aolog.ShardConsistencyProof
-			if front, ok := w.Frontier(sc.name); ok && gh.Head.Size > front.Size {
-				cons = new(aolog.ShardConsistencyProof)
-				req := struct {
-					OldSize int `json:"old_size"`
-					NewSize int `json:"new_size"`
-				}{OldSize: int(front.Size), NewSize: int(gh.Head.Size)}
-				if err := auto.Call("consistency", req, cons); err != nil {
-					logger.Warn("consistency for pushed head failed", "source", sc.name, "size", gh.Head.Size, "err", err)
-					continue
-				}
-			}
-			res := w.Ingest(sc.name, gh.Head, cons)
-			if res.Err != nil {
-				logger.Warn("ingesting pushed head failed", "source", sc.name, "size", gh.Head.Size, "err", res.Err)
+			if err := ingestHead(w, sc.name, gh.Head, auto.Call); err != nil {
+				kit.Logger.Warn("pushed head not ingested", "source", sc.name, "size", gh.Head.Size, "err", err)
 				continue
-			}
-			if res.Proof != nil {
-				logger.Warn("source convicted of equivocation", "source", sc.name, "size", gh.Head.Size)
 			}
 			publish()
 		}
-	}()
+	})
 	return auto, nil
 }
 
-// pullSource fetches the source's current BLS head, plus a consistency
-// proof from the witness's cosigned frontier when one exists, and ingests
-// both. Head and proof are fetched in separate RPCs, so a live log can
-// grow between them; retry until the proof ends at the fetched head.
+// errLogMoved reports a consistency proof that ends past the head it was
+// asked for: the log grew between the head and proof fetches.
+var errLogMoved = errors.New("log grew between head and proof fetches")
+
+// pullSource fetches the source's current BLS head and ingests it. The
+// serving tier pins the proof to the head's size; a monitor without it
+// proves up to its current size, which a live log can have moved past,
+// so retry until the proof ends at the fetched head.
 func pullSource(w *gossip.Witness, sc *sourceConn) error {
 	for attempt := 0; attempt < 3; attempt++ {
 		var head aolog.BLSSignedHead
 		if err := sc.conn.Call("headbls", struct{}{}, &head); err != nil {
 			return fmt.Errorf("auditord: head from %s: %w", sc.name, err)
 		}
-		var cons *aolog.ShardConsistencyProof
-		if front, ok := w.Frontier(sc.name); ok && head.Size > front.Size {
-			cons = new(aolog.ShardConsistencyProof)
-			req := struct {
-				OldSize int `json:"old_size"`
-			}{OldSize: int(front.Size)}
-			if err := sc.conn.Call("consistency", req, cons); err != nil {
-				return fmt.Errorf("auditord: consistency from %s: %w", sc.name, err)
-			}
-			if cons.NewSize != int(head.Size) {
-				continue // the log grew between the two RPCs
-			}
+		if err := ingestHead(w, sc.name, head, sc.conn.Call); !errors.Is(err, errLogMoved) {
+			return err
 		}
-		res := w.Ingest(sc.name, head, cons)
-		if res.Err != nil {
-			return fmt.Errorf("auditord: ingesting %s head: %w", sc.name, res.Err)
-		}
-		if res.Proof != nil {
-			logger.Warn("source convicted of equivocation", "source", sc.name, "size", head.Size)
-		}
-		return nil
 	}
 	return fmt.Errorf("auditord: source %s log kept moving between head and proof fetches", sc.name)
+}
+
+// ingestHead ingests one head from source. When the head is ahead of the
+// witness's cosigned frontier, call first fetches the consistency proof
+// bridging the two.
+func ingestHead(w *gossip.Witness, source string, head aolog.BLSSignedHead, call func(kind string, in, out any) error) error {
+	var cons *aolog.ShardConsistencyProof
+	if front, ok := w.Frontier(source); ok && head.Size > front.Size {
+		cons = new(aolog.ShardConsistencyProof)
+		req := serve.ConsistencyRequest{OldSize: int(front.Size), NewSize: int(head.Size)}
+		if err := call("consistency", req, cons); err != nil {
+			return fmt.Errorf("auditord: consistency from %s: %w", source, err)
+		}
+		if cons.NewSize != int(head.Size) {
+			return errLogMoved
+		}
+	}
+	res := w.Ingest(source, head, cons)
+	if res.Err != nil {
+		return fmt.Errorf("auditord: ingesting %s head: %w", source, res.Err)
+	}
+	if res.Proof != nil {
+		kit.Logger.Warn("source convicted of equivocation", "source", source, "size", head.Size)
+	}
+	return nil
 }

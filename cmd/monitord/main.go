@@ -59,24 +59,22 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/audit"
 	"repro/internal/bls"
-	"repro/internal/bls12381"
+	"repro/internal/daemon"
 	"repro/internal/deployfile"
-	"repro/internal/fault"
 	"repro/internal/gossip"
 	"repro/internal/monitor"
 	"repro/internal/obsv"
 	"repro/internal/serve"
 	"repro/internal/transport"
 )
+
+// kit is the plumbing shared with the other daemons; New registers its flags.
+var kit = daemon.New("monitord")
 
 func main() {
 	var (
@@ -87,143 +85,88 @@ func main() {
 		dataDir    = flag.String("data", "", "durable storage directory; empty runs in-memory (log and keys are lost on exit)")
 		slashable  = flag.String("slashable", "", "comma-separated hex BLS keys of peer monitors whose equivocation proofs this monitor records")
 		subscribe  = flag.Bool("subscribe", true, "serve reads through the caching tier and push new heads to subscribed connections")
-		metrics    = flag.String("metrics", "", "observability HTTP address (/metrics, /healthz, /readyz, /traces, /slo, /debug/flight, pprof); empty disables")
 		traceEvery = flag.Int("trace", 64, "sample one in N requests for tracing (0 disables local roots)")
-		debugHooks = flag.Bool("debug-hooks", false, "register debug RPCs (_poison) and fault-injection flags — test deployments only")
 
 		fsyncDeadline   = flag.Duration("fsync-deadline", 2*time.Second, "WAL-fsync stall watchdog deadline (0 disables)")
-		sloInterval     = flag.Duration("slo-interval", obsv.DefaultSLOInterval, "SLO burn-rate sampling interval")
 		debugFsyncStall = flag.Duration("debug-fsync-stall", 0, "inject a sleep before every WAL fsync (requires -debug-hooks)")
 		rpcTimeout      = flag.Duration("rpc-timeout", 10*time.Second, "per-call deadline on outbound RPCs this monitor issues (poll path); 0 disables")
-		faultSchedule   = flag.String("fault-schedule", "", "deterministic fault-injection schedule file (requires -debug-hooks)")
-		faultTarget     = flag.String("fault-target", "monitord", "target name this process matches in the fault schedule")
 	)
 	flag.Parse()
-
-	logger := obsv.NewLogger(os.Stderr, "monitord", nil)
-	fatal := func(msg string, args ...any) {
-		logger.Error(msg, args...)
-		os.Exit(1)
+	kit.Boot(*dataDir)
+	defer kit.Flight.DumpOnPanic(kit.DiagDir, kit.Name)
+	if *debugFsyncStall > 0 && !kit.DebugHooks {
+		kit.Fatal("-debug-fsync-stall requires -debug-hooks")
 	}
-	reg := obsv.NewRegistry()
-	health := obsv.NewHealth()
-	health.Register(reg)
-	tracer := obsv.NewTracer(*traceEvery)
-	tracer.Register(reg)
-	tracer.SetLogger(logger)
-	bls.RegisterMetrics(reg)
-	bls12381.RegisterMetrics(reg)
-
-	// Diagnosis plane: the flight recorder keeps the last operational
-	// transitions in memory and dumps them on panic, SIGQUIT, or a
-	// readiness flip; watchdogs turn silent stalls into degraded health
-	// plus profiles; the SLO engine burns the registry's own series.
-	fr := obsv.NewFlightRecorder(obsv.DefaultFlightSize)
-	fr.Register(reg)
-	diagDir := *dataDir
-	if diagDir == "" {
-		diagDir = os.TempDir()
-	}
-	defer fr.DumpOnPanic(diagDir, "monitord")
-	dogs := obsv.NewWatchdogSet("monitord", diagDir, fr)
-	dogs.SetLogger(logger)
+	kit.Trace(*traceEvery)
 	var fsyncDog *obsv.Watchdog
 	if *fsyncDeadline > 0 {
-		fsyncDog = dogs.Add("wal-fsync", *fsyncDeadline)
+		fsyncDog = kit.Dogs.Add("wal-fsync", *fsyncDeadline)
 	}
 
 	file, err := deployfile.Read(*paramsPath)
 	if err != nil {
-		fatal("reading deployment parameters", "err", err)
+		kit.Fatal("reading deployment parameters", "err", err)
 	}
 	params, err := file.Params()
 	if err != nil {
-		fatal("parsing deployment parameters", "err", err)
-	}
-	var stall time.Duration
-	if *debugHooks {
-		stall = *debugFsyncStall
-	} else if *debugFsyncStall > 0 {
-		fatal("-debug-fsync-stall requires -debug-hooks")
-	}
-	// Chaos plane: a seeded schedule makes faults deterministic, so a CI
-	// failure replays locally from the schedule file alone. The injector
-	// hooks every outbound dial, every accepted connection, and the WAL
-	// fsync path; each injection lands on /debug/flight tagged "injected".
-	var inj *fault.Injector
-	if *faultSchedule != "" {
-		if !*debugHooks {
-			fatal("-fault-schedule requires -debug-hooks")
-		}
-		sched, err := fault.LoadSchedule(*faultSchedule)
-		if err != nil {
-			fatal("loading fault schedule", "err", err)
-		}
-		inj = fault.Activate(sched, *faultTarget)
-		inj.SetFlightRecorder(fr)
-		transport.SetDialHook(inj.Dial)
-		transport.SetListenerWrap(inj.Listener)
-		logger.Info("chaos plane armed", "schedule", *faultSchedule,
-			"target", *faultTarget, "seed", sched.Seed, "rules", len(sched.Rules))
+		kit.Fatal("parsing deployment parameters", "err", err)
 	}
 	var mon *monitor.Monitor
 	if *dataDir != "" {
 		// Persistent monitor: stable tree-head identity, crash-safe log.
-		openOpts := &monitor.OpenOptions{Shards: *shards, FsyncStall: stall}
-		if inj != nil {
-			openOpts.DiskFault = inj.DiskFault
+		openOpts := &monitor.OpenOptions{Shards: *shards, FsyncStall: *debugFsyncStall}
+		if kit.Fault != nil {
+			openOpts.DiskFault = kit.Fault.DiskFault
 		}
 		mon, err = monitor.Open(*dataDir, params, openOpts)
 		if err != nil {
-			fatal("opening monitor store", "err", err, "data", *dataDir)
+			kit.Fatal("opening monitor store", "err", err, "data", *dataDir)
 		}
 		if info, ok := mon.RecoveryInfo(); ok {
 			head := "no signed head on disk"
 			if info.HasHead {
 				head = fmt.Sprintf("super-root verified against last signed head (size %d)", info.HeadSize)
 			}
-			logger.Info("recovered log", "size", info.Leaves, "from_segments", info.FromSegments,
+			kit.Logger.Info("recovered log", "size", info.Leaves, "from_segments", info.FromSegments,
 				"from_wal", info.FromWAL, "snapshot_size", info.SnapshotSize,
 				"elapsed", info.Elapsed.Round(time.Millisecond), "head", head)
 		}
 	} else {
 		_, priv, err := ed25519.GenerateKey(rand.Reader)
 		if err != nil {
-			fatal("keygen", "err", err)
+			kit.Fatal("keygen", "err", err)
 		}
 		mon, err = monitor.NewSharded(params, priv, *shards)
 		if err != nil {
-			fatal("creating monitor", "err", err)
+			kit.Fatal("creating monitor", "err", err)
 		}
 		blsKey, _, err := bls.GenerateKey()
 		if err != nil {
-			fatal("BLS keygen", "err", err)
+			kit.Fatal("BLS keygen", "err", err)
 		}
 		mon.EnableBLSHeads(blsKey)
 	}
-	mon.RegisterMetrics(reg)
-	mon.SetDiagnostics(fr, fsyncDog)
+	mon.RegisterMetrics(kit.Registry)
+	mon.SetDiagnostics(kit.Flight, fsyncDog)
 	// The sticky persistence error flips readiness: a monitor that can
 	// no longer write its log durably must not look healthy.
-	health.Set("monitor-persist", mon.Err)
+	kit.Health.Set("monitor-persist", mon.Err)
 	// Slashing reports may accuse this monitor itself plus any pinned
 	// peer monitor keys; proofs for other keys are self-signed spam.
 	if err := mon.RegisterLogSource(mon.BLSPublicKey()); err != nil {
-		fatal("registering own log source", "err", err)
+		kit.Fatal("registering own log source", "err", err)
 	}
-	if *slashable != "" {
-		for _, h := range strings.Split(*slashable, ",") {
-			kb, err := hex.DecodeString(strings.TrimSpace(h))
-			if err != nil {
-				fatal("bad -slashable key", "key", h, "err", err)
-			}
-			pk := new(bls.PublicKey)
-			if err := pk.SetBytes(kb); err != nil {
-				fatal("bad -slashable key", "key", h, "err", err)
-			}
-			if err := mon.RegisterLogSource(pk); err != nil {
-				fatal("registering slashable key", "err", err)
-			}
+	for _, h := range strings.FieldsFunc(*slashable, func(r rune) bool { return r == ',' }) {
+		kb, err := hex.DecodeString(strings.TrimSpace(h))
+		if err != nil {
+			kit.Fatal("bad -slashable key", "key", h, "err", err)
+		}
+		pk := new(bls.PublicKey)
+		if err := pk.SetBytes(kb); err != nil {
+			kit.Fatal("bad -slashable key", "key", h, "err", err)
+		}
+		if err := mon.RegisterLogSource(pk); err != nil {
+			kit.Fatal("registering slashable key", "err", err)
 		}
 	}
 	auditClient := audit.NewClient(params)
@@ -273,14 +216,12 @@ func main() {
 		return mon.Alerts(), nil
 	})
 	srv.Handle("info", func(json.RawMessage) (any, error) {
-		blsPub := mon.BLSPublicKey().Bytes()
-		head := mon.TreeHead()
 		return infoResponse{
 			Name:      *name,
 			PublicKey: mon.PublicKey(),
-			BLSKey:    blsPub[:],
+			BLSKey:    blsKeyBytes(mon),
 			Shards:    mon.NumShards(),
-			Size:      head.Size,
+			Size:      mon.TreeHead().Size,
 		}, nil
 	})
 	srv.Handle("consistency", func(body json.RawMessage) (any, error) {
@@ -326,27 +267,27 @@ func main() {
 	var tier *serve.Tier
 	if *subscribe {
 		pkb := mon.BLSPublicKey().Bytes()
-		tier, err = serve.Attach(mon, serve.Options{Source: *name, SourcePK: pkb[:], Metrics: reg})
+		tier, err = serve.Attach(mon, serve.Options{Source: *name, SourcePK: pkb[:], Metrics: kit.Registry})
 		if err != nil {
-			fatal("attaching serving tier", "err", err)
+			kit.Fatal("attaching serving tier", "err", err)
 		}
 		mon.SetAppendHook(tier.Kick)
 		tier.Register(srv)
-		tier.SetFlightRecorder(fr)
+		tier.SetFlightRecorder(kit.Flight)
 		// A poisoned (fail-closed) tier must flip /readyz, not just
 		// refuse RPCs.
-		health.Set("serve", tier.Unhealthy)
+		kit.Health.Set("serve", tier.Unhealthy)
 		// A push backlog pinned at the cap means subscribers are not
 		// draining; degraded, with profiles, but not unready.
 		hub := tier.Hub()
-		dogs.AddProbe("serve-push-drain", 5*time.Second, func() (bool, string) {
+		kit.Dogs.AddProbe("serve-push-drain", 5*time.Second, func() (bool, string) {
 			if p := hub.Pending(); p >= 1024 {
 				return true, fmt.Sprintf("push backlog %d heads", p)
 			}
 			return false, ""
 		})
 	}
-	if *debugHooks && tier != nil {
+	if kit.DebugHooks && tier != nil {
 		// Test-only failure injection: the e2e smoke test poisons the
 		// tier over RPC and asserts /readyz flips while serve_poisoned=1.
 		srv.Handle("_poison", func(json.RawMessage) (any, error) {
@@ -354,74 +295,35 @@ func main() {
 			return map[string]bool{"poisoned": true}, nil
 		})
 	}
-	srv.Instrument(reg, tracer)
-	srv.SetFlightRecorder(fr)
 
 	// SLO engine: objectives from the deployment file when declared,
 	// the monitor defaults otherwise.
 	if err := file.ValidateSLOs(); err != nil {
-		fatal("deployment SLOs", "err", err)
+		kit.Fatal("deployment SLOs", "err", err)
 	}
 	objs := file.SLOs
 	if len(objs) == 0 {
 		objs = obsv.DefaultMonitorSLOs()
 	}
-	slo := obsv.NewSLOEngine(reg, objs, *sloInterval)
-	slo.Register(reg)
-	slo.Start()
-
-	dogs.Register(reg)
-	dogs.BindHealth(health)
-	dogs.Start(100 * time.Millisecond)
-	stopDumps := fr.ArmDumps(diagDir, "monitord", health, logger)
-
-	var ms *obsv.MetricsServer
-	if *metrics != "" {
-		ms, err = obsv.Endpoint{
-			Daemon:   "monitord",
-			Registry: reg,
-			Health:   health,
-			Tracer:   tracer,
-			Flight:   fr,
-			SLO:      slo,
-		}.ListenAndServe(*metrics)
-		if err != nil {
-			fatal("metrics endpoint", "err", err)
-		}
-		logger.Info("observability endpoint up", "addr", ms.Addr)
-	}
-
-	ln, err := net.Listen("tcp", *listen)
-	if err != nil {
-		fatal("listen", "addr", *listen, "err", err)
-	}
-	srv.Serve(ln)
-	logger.Info("serving", "addr", ln.Addr().String(), "domains", len(params.Domains),
+	addr := kit.Start(objs, srv, *listen)
+	kit.Logger.Info("serving", "addr", addr, "domains", len(params.Domains),
 		"shards", *shards, "serve_tier", tier != nil, "size", mon.Len())
-	logger.Info("tree-head identity", "ed25519", fmt.Sprintf("%x", mon.PublicKey()),
+	kit.Logger.Info("tree-head identity", "ed25519", fmt.Sprintf("%x", mon.PublicKey()),
 		"bls", fmt.Sprintf("%x", blsKeyBytes(mon)))
 
 	// Clean shutdown: stop serving, then flush the store (final
 	// snapshot, WAL checkpoint, segment close) before exiting.
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	got := <-sig
-	logger.Info("shutting down", "signal", got.String())
+	kit.Wait()
 	srv.Close()
 	if tier != nil {
 		tier.Close()
 	}
-	stopDumps()
-	dogs.Close()
-	slo.Close()
-	if ms != nil {
-		ms.Close()
-	}
+	kit.Close()
 	if err := mon.Close(); err != nil {
-		fatal("flushing store", "err", err)
+		kit.Fatal("flushing store", "err", err)
 	}
 	if *dataDir != "" {
-		logger.Info("store flushed", "data", *dataDir, "size", mon.Len())
+		kit.Logger.Info("store flushed", "data", *dataDir, "size", mon.Len())
 	}
 }
 

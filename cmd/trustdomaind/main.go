@@ -41,32 +41,27 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"path/filepath"
-	"syscall"
 	"time"
 
 	"repro/internal/bls"
-	"repro/internal/bls12381"
 	"repro/internal/blsapp"
 	"repro/internal/core"
+	"repro/internal/daemon"
 	"repro/internal/deployfile"
-	"repro/internal/fault"
 	"repro/internal/framework"
 	"repro/internal/obsv"
 	"repro/internal/sandbox"
 	"repro/internal/store"
 	"repro/internal/tee"
-	"repro/internal/transport"
 )
 
-// logger is the daemon-wide structured logger (component=trustdomaind).
-var logger = obsv.NewLogger(os.Stderr, "trustdomaind", nil)
+// kit is the plumbing shared with the other daemons; New registers its flags.
+var kit = daemon.New("trustdomaind")
 
-func fatal(msg string, args ...any) {
-	logger.Error(msg, args...)
-	os.Exit(1)
-}
+// ceremonyDeadline bounds a refresh ceremony: one wedged on an
+// unresponsive domain degrades the daemon instead of hanging silently.
+const ceremonyDeadline = time.Minute
 
 func main() {
 	var (
@@ -77,83 +72,34 @@ func main() {
 		frozen  = flag.Bool("frozen", false, "disable code updates after installation")
 		dataDir = flag.String("data", "", "directory for durable key-share state (restart keeps shares and epochs)")
 		refresh = flag.Duration("refresh", 0, "proactively refresh the key shares at this interval (0 disables)")
-		metrics = flag.String("metrics", "", "observability HTTP address (/metrics, /healthz, /readyz, /slo, /debug/flight, pprof); empty disables")
-
-		ceremonyDeadline = flag.Duration("ceremony-deadline", time.Minute, "refresh-ceremony completion watchdog deadline (0 disables)")
-		sloInterval      = flag.Duration("slo-interval", obsv.DefaultSLOInterval, "SLO burn-rate sampling interval")
-
-		debugHooks    = flag.Bool("debug-hooks", false, "enable fault-injection flags — test deployments only")
-		faultSchedule = flag.String("fault-schedule", "", "deterministic fault-injection schedule file (requires -debug-hooks)")
-		faultTarget   = flag.String("fault-target", "trustdomaind", "target name this process matches in the fault schedule")
 	)
 	flag.Parse()
 	if !*demo {
-		fatal("only -demo mode is available in this reproduction " +
+		kit.Fatal("only -demo mode is available in this reproduction " +
 			"(multi-machine mode would need a key-distribution ceremony; see DESIGN.md)")
 	}
 	if *t < 1 || *t > *n {
-		fatal("invalid threshold", "t", *t, "n", *n)
+		kit.Fatal("invalid threshold", "t", *t, "n", *n)
 	}
 	if *refresh != 0 && *refresh < time.Second {
-		fatal("refresh interval too small (min 1s)", "interval", *refresh)
+		kit.Fatal("refresh interval too small (min 1s)", "interval", *refresh)
 	}
 
-	reg := obsv.NewRegistry()
-	health := obsv.NewHealth()
-	health.Register(reg)
-	bls.RegisterMetrics(reg)
-	bls12381.RegisterMetrics(reg)
-	blsapp.RegisterCeremonyMetrics(reg)
-
-	// Diagnosis plane: flight recorder (ceremony phases, share installs;
-	// dumped on panic, SIGQUIT, or a readiness flip) plus a watchdog on
-	// ceremony completion — a refresh wedged on an unresponsive domain
-	// degrades the daemon instead of hanging silently.
-	fr := obsv.NewFlightRecorder(obsv.DefaultFlightSize)
-	fr.Register(reg)
-	diagDir := *dataDir
-	if diagDir == "" {
-		diagDir = os.TempDir()
-	}
-	defer fr.DumpOnPanic(diagDir, "trustdomaind")
-	dogs := obsv.NewWatchdogSet("trustdomaind", diagDir, fr)
-	dogs.SetLogger(logger)
-
-	// Chaos plane (see cmd/monitord): the process-wide listener wrap
+	// The process-wide listener wrap the kit installs for -fault-schedule
 	// covers every per-domain RPC server core.Deploy starts below, so a
 	// seeded schedule can reset or partition the domains' public surface.
-	if *faultSchedule != "" {
-		if !*debugHooks {
-			fatal("-fault-schedule requires -debug-hooks")
-		}
-		sched, err := fault.LoadSchedule(*faultSchedule)
-		if err != nil {
-			fatal("loading fault schedule", "err", err)
-		}
-		inj := fault.Activate(sched, *faultTarget)
-		inj.SetFlightRecorder(fr)
-		transport.SetDialHook(inj.Dial)
-		transport.SetListenerWrap(inj.Listener)
-		logger.Info("chaos plane armed", "schedule", *faultSchedule,
-			"target", *faultTarget, "seed", sched.Seed, "rules", len(sched.Rules))
-	}
-	var ceremonyDog *obsv.Watchdog
-	if *ceremonyDeadline > 0 {
-		ceremonyDog = dogs.Add("refresh-ceremony", *ceremonyDeadline)
-	}
-	blsapp.SetCeremonyDiagnostics(fr, ceremonyDog)
-	dogs.Register(reg)
-	dogs.BindHealth(health)
-	dogs.Start(time.Second)
-	defer dogs.Close()
+	kit.Boot(*dataDir)
+	defer kit.Flight.DumpOnPanic(kit.DiagDir, kit.Name)
+	blsapp.RegisterCeremonyMetrics(kit.Registry)
+	blsapp.SetCeremonyDiagnostics(kit.Flight, kit.Dogs.Add("refresh-ceremony", ceremonyDeadline))
 
 	dev, err := framework.NewDeveloper()
 	if err != nil {
-		fatal("developer keygen", "err", err)
+		kit.Fatal("developer keygen", "err", err)
 	}
 	vendors, roots, err := tee.NewSimulatedEcosystem()
 	if err != nil {
-		fatal("ecosystem", "err", err)
+		kit.Fatal("ecosystem", "err", err)
 	}
 	var vendorList []*tee.Vendor
 	for _, id := range tee.AllVendorIDs() {
@@ -162,11 +108,11 @@ func main() {
 
 	tk, states, err := openThresholdState(*dataDir, *t, *n, dev.PublicKey())
 	if err != nil {
-		fatal("opening threshold state", "err", err)
+		kit.Fatal("opening threshold state", "err", err)
 	}
 	// Domain 0's share state carries the deployment's epoch series
 	// (every domain advances in lockstep outside torn ceremonies).
-	states[0].RegisterMetrics(reg)
+	states[0].RegisterMetrics(kit.Registry)
 
 	dep, err := core.Deploy(core.Config{
 		NumDomains: *n,
@@ -181,9 +127,8 @@ func main() {
 		Frozen: *frozen,
 	})
 	if err != nil {
-		fatal("deploy", "err", err)
+		kit.Fatal("deploy", "err", err)
 	}
-	defer dep.Close()
 
 	// A ceremony interrupted by a crash leaves a pending file; re-drive
 	// it (idempotently) before serving so every domain is back on one
@@ -191,97 +136,52 @@ func main() {
 	if *dataDir != "" {
 		cur, err := recoverPendingCeremony(*dataDir, dep, dev, tk, states)
 		if err != nil {
-			fatal("recovering interrupted refresh", "err", err)
+			kit.Fatal("recovering interrupted refresh", "err", err)
 		}
 		tk = cur
 	}
 	// Readiness requires every domain to sit on one epoch: a torn
 	// ceremony (mixed epochs) is a serving deployment but not a healthy
 	// one until the refresh is re-driven to convergence.
-	health.Set("share-epochs", func() error {
-		lo, hi := states[0].Epoch(), states[0].Epoch()
-		for _, st := range states[1:] {
-			e := st.Epoch()
-			if e < lo {
-				lo = e
-			}
-			if e > hi {
-				hi = e
-			}
-		}
-		if lo != hi {
+	kit.Health.Set("share-epochs", func() error {
+		if lo, hi := epochRange(states); lo != hi {
 			return fmt.Errorf("mixed share epochs %d..%d (refresh ceremony incomplete)", lo, hi)
 		}
 		return nil
 	})
 
-	slo := obsv.NewSLOEngine(reg, []obsv.Objective{{
-		Name:      "ceremony-p99",
-		Kind:      "latency",
-		Series:    "blsapp_ceremony_seconds",
-		Threshold: 16.777216, // 250ns << 26: the top LatencyBuckets bound
-		Target:    0.99,
-	}}, *sloInterval)
-	slo.Register(reg)
-	slo.Start()
-	defer slo.Close()
-	stopDumps := fr.ArmDumps(diagDir, "trustdomaind", health, logger)
-	defer stopDumps()
-
-	var ms *obsv.MetricsServer
-	if *metrics != "" {
-		ms, err = obsv.Endpoint{
-			Daemon:   "trustdomaind",
-			Registry: reg,
-			Health:   health,
-			Flight:   fr,
-			SLO:      slo,
-		}.ListenAndServe(*metrics)
-		if err != nil {
-			fatal("metrics endpoint", "err", err)
-		}
-		defer ms.Close()
-		logger.Info("observability endpoint up", "addr", ms.Addr)
-	}
+	// The ceremony threshold is the top LatencyBuckets bound, 250ns << 26.
+	kit.Start([]obsv.Objective{{Name: "ceremony-p99", Kind: "latency",
+		Series: "blsapp_ceremony_seconds", Threshold: 16.777216, Target: 0.99}}, nil, "")
 
 	file := deployfile.FromParams(dep.Params(), tk)
 	if err := file.Write(*params); err != nil {
-		fatal("writing parameters", "err", err)
+		kit.Fatal("writing parameters", "err", err)
 	}
 
-	logger.Info("domains up", "n", *n, "t", *t, "epoch", tk.Epoch, "frozen", *frozen)
+	kit.Logger.Info("domains up", "n", *n, "t", *t, "epoch", tk.Epoch, "frozen", *frozen)
 	for i := 0; i < dep.NumDomains(); i++ {
 		d := dep.Domain(i)
-		logger.Info("domain", "name", d.Name(), "addr", d.Addr(), "tee", d.HasTEE())
+		kit.Logger.Info("domain", "name", d.Name(), "addr", d.Addr(), "tee", d.HasTEE())
 	}
-	logger.Info("public parameters written", "path", *params)
+	kit.Logger.Info("public parameters written", "path", *params)
 	// Refresh frames must be developer-signed; export the signing seed
 	// (0600) so `dtclient refresh` can coordinate ceremonies from
 	// another process. It is exactly as sensitive as the update key.
 	if err := deployfile.WriteRefreshKey(*params+".refresh-key", dev.Seed()); err != nil {
-		fatal("writing refresh key", "err", err)
+		kit.Fatal("writing refresh key", "err", err)
 	}
-	logger.Info("refresh signing key written (keep it 0600)", "path", *params+".refresh-key")
+	kit.Logger.Info("refresh signing key written (keep it 0600)", "path", *params+".refresh-key")
 
-	stop := make(chan struct{})
-	done := make(chan struct{})
 	if *refresh != 0 {
-		logger.Info("proactive share refresh enabled", "interval", *refresh)
-		go func() {
-			defer close(done)
-			runRefreshLoop(*refresh, *dataDir, *params, dep, dev, tk, stop)
-		}()
-	} else {
-		close(done)
+		kit.Logger.Info("proactive share refresh enabled", "interval", *refresh)
+		kit.Every(*refresh, refreshTick(*dataDir, *params, dep, dev, tk))
 	}
 
-	logger.Info("serving until SIGINT/SIGTERM")
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	got := <-sig
-	close(stop)
-	<-done
-	logger.Info("shutting down", "signal", got.String())
+	kit.Logger.Info("serving until SIGINT/SIGTERM")
+	kit.Wait()
+	kit.Close()
+	dep.Close()
 }
 
 // thresholdStatePath is where a durable deployment records the current
@@ -303,65 +203,55 @@ func sharePath(dataDir string, i int) string {
 // directory that already holds one, resumes it — and returns the public
 // key plus one (durable, when dataDir is set) share state per domain.
 func openThresholdState(dataDir string, t, n int, devKey ed25519.PublicKey) (*bls.ThresholdKey, []*blsapp.ShareState, error) {
-	if dataDir == "" {
-		tk, shares, err := bls.ThresholdKeyGen(t, n)
-		if err != nil {
-			return nil, nil, fmt.Errorf("threshold keygen: %v", err)
+	if dataDir != "" {
+		if err := os.MkdirAll(dataDir, 0o700); err != nil {
+			return nil, nil, fmt.Errorf("data dir: %v", err)
 		}
-		states := make([]*blsapp.ShareState, n)
-		for i := range states {
-			states[i] = blsapp.NewShareStateWithKey(shares[i], tk, devKey)
-		}
-		return tk, states, nil
-	}
-
-	if err := os.MkdirAll(dataDir, 0o700); err != nil {
-		return nil, nil, fmt.Errorf("data dir: %v", err)
-	}
-	tkPath := thresholdStatePath(dataDir)
-	data, err := os.ReadFile(tkPath)
-	switch {
-	case err == nil:
-		var te deployfile.ThresholdEntry
-		if err := json.Unmarshal(data, &te); err != nil {
-			return nil, nil, fmt.Errorf("parsing %s: %v", tkPath, err)
-		}
-		stored, err := te.Key()
-		if err != nil {
-			return nil, nil, err
-		}
-		if stored.T != t || stored.N != n {
-			return nil, nil, fmt.Errorf("data dir holds a %d-of-%d deployment, flags ask for %d-of-%d", stored.T, stored.N, t, n)
-		}
-		// The share files are the ground truth: an external coordinator
-		// (dtclient refresh) may have advanced epochs without touching
-		// threshold.json. Rebuild the current public record from the
-		// shares themselves — this daemon is the dealer and holds all n
-		// scalars — and cross-check it against the stored group key.
-		tk, states, err := resumeFromShares(dataDir, stored, t, n, devKey)
-		if err != nil {
-			return nil, nil, err
-		}
-		return tk, states, nil
-	case os.IsNotExist(err):
-		tk, shares, err := bls.ThresholdKeyGen(t, n)
-		if err != nil {
-			return nil, nil, fmt.Errorf("threshold keygen: %v", err)
-		}
-		if err := writeThresholdState(dataDir, tk); err != nil {
-			return nil, nil, err
-		}
-		states := make([]*blsapp.ShareState, n)
-		for i := range states {
-			states[i], err = blsapp.OpenShareState(sharePath(dataDir, i), &shares[i], tk, devKey, true)
+		tkPath := thresholdStatePath(dataDir)
+		data, err := os.ReadFile(tkPath)
+		switch {
+		case err == nil:
+			var te deployfile.ThresholdEntry
+			if err := json.Unmarshal(data, &te); err != nil {
+				return nil, nil, fmt.Errorf("parsing %s: %v", tkPath, err)
+			}
+			stored, err := te.Key()
 			if err != nil {
 				return nil, nil, err
 			}
+			if stored.T != t || stored.N != n {
+				return nil, nil, fmt.Errorf("data dir holds a %d-of-%d deployment, flags ask for %d-of-%d", stored.T, stored.N, t, n)
+			}
+			// The share files are the ground truth: an external
+			// coordinator (dtclient refresh) may have advanced epochs
+			// without touching threshold.json. Rebuild the current public
+			// record from the shares themselves — this daemon is the
+			// dealer and holds all n scalars — and cross-check it against
+			// the stored group key.
+			return resumeFromShares(dataDir, stored, t, n, devKey)
+		case !os.IsNotExist(err):
+			return nil, nil, fmt.Errorf("reading %s: %v", tkPath, err)
 		}
-		return tk, states, nil
-	default:
-		return nil, nil, fmt.Errorf("reading %s: %v", tkPath, err)
 	}
+
+	tk, shares, err := bls.ThresholdKeyGen(t, n)
+	if err != nil {
+		return nil, nil, fmt.Errorf("threshold keygen: %v", err)
+	}
+	if dataDir != "" {
+		if err := writeThresholdState(dataDir, tk); err != nil {
+			return nil, nil, err
+		}
+	}
+	states := make([]*blsapp.ShareState, n)
+	for i := range states {
+		if dataDir == "" {
+			states[i] = blsapp.NewShareStateWithKey(shares[i], tk, devKey)
+		} else if states[i], err = blsapp.OpenShareState(sharePath(dataDir, i), &shares[i], tk, devKey, true); err != nil {
+			return nil, nil, err
+		}
+	}
+	return tk, states, nil
 }
 
 // resumeFromShares reopens every durable share file and rebuilds the
@@ -390,12 +280,8 @@ func resumeFromShares(dataDir string, stored *bls.ThresholdKey, t, n int, devKey
 	var rebuildEpoch uint64
 	found := false
 	for epoch, group := range byEpoch {
-		if len(group) < t {
-			continue
-		}
-		if !found || epoch < rebuildEpoch {
-			rebuildEpoch = epoch
-			found = true
+		if len(group) >= t && (!found || epoch < rebuildEpoch) {
+			rebuildEpoch, found = epoch, true
 		}
 	}
 	if !found {
@@ -419,12 +305,21 @@ func resumeFromShares(dataDir string, stored *bls.ThresholdKey, t, n int, devKey
 		}
 	}
 	if len(byEpoch) > 1 {
-		logger.Warn("resumed MIXED share epochs; re-drive the interrupted refresh to converge",
+		kit.Logger.Warn("resumed MIXED share epochs; re-drive the interrupted refresh to converge",
 			"data", dataDir, "share_epochs", fmt.Sprint(shareEpochs(shares)), "epoch", tk.Epoch)
 	} else {
-		logger.Info("resumed durable shares", "data", dataDir, "epoch", tk.Epoch)
+		kit.Logger.Info("resumed durable shares", "data", dataDir, "epoch", tk.Epoch)
 	}
 	return tk, states, nil
+}
+
+// epochRange returns the lowest and highest share epoch across states.
+func epochRange(states []*blsapp.ShareState) (lo, hi uint64) {
+	lo, hi = states[0].Epoch(), states[0].Epoch()
+	for _, st := range states[1:] {
+		lo, hi = min(lo, st.Epoch()), max(hi, st.Epoch())
+	}
+	return lo, hi
 }
 
 func shareEpochs(shares []bls.KeyShare) []uint64 {
@@ -458,12 +353,7 @@ func recoverPendingCeremony(dataDir string, dep *core.Deployment, dev *framework
 	if err != nil || ref == nil {
 		return tk, err
 	}
-	minEpoch := states[0].Epoch()
-	for _, st := range states[1:] {
-		if e := st.Epoch(); e < minEpoch {
-			minEpoch = e
-		}
-	}
+	minEpoch, _ := epochRange(states)
 	if minEpoch >= ref.NewEpoch {
 		// Every domain applied it; the crash landed between the commit
 		// and the pending-file removal.
@@ -472,7 +362,7 @@ func recoverPendingCeremony(dataDir string, dep *core.Deployment, dev *framework
 	if ref.NewEpoch != minEpoch+1 {
 		return nil, fmt.Errorf("pending ceremony targets epoch %d but a domain is still at epoch %d", ref.NewEpoch, minEpoch)
 	}
-	logger.Info("re-driving interrupted refresh ceremony", "epoch", ref.NewEpoch)
+	kit.Logger.Info("re-driving interrupted refresh ceremony", "epoch", ref.NewEpoch)
 	if err := blsapp.RunRefreshCeremony(dep, ref, dev); err != nil {
 		return nil, err
 	}
@@ -482,37 +372,30 @@ func recoverPendingCeremony(dataDir string, dep *core.Deployment, dev *framework
 	if err := deployfile.RemoveRefresh(pending); err != nil {
 		return nil, err
 	}
-	logger.Info("refresh recovered", "epoch", ref.NewEpoch)
+	kit.Logger.Info("refresh recovered", "epoch", ref.NewEpoch)
 	return ref.NewKey, nil
 }
 
-// runRefreshLoop periodically drives a refresh ceremony and commits the
-// rotated key to the data directory and the parameters file. Two
-// invariants: a ceremony that failed mid-drive is re-driven with the
-// SAME package on later ticks (held in memory, and on disk with -data)
-// — never replaced by a fresh one for the same epoch, which would
-// strand the domains that already applied it; and epochs advanced by an
-// external coordinator (dtclient refresh rewrites the parameters file)
-// are adopted before each tick so the loop never wedges on a stale
-// notion of "current". The deployment assumes a single ACTIVE
-// coordinator at a time (DESIGN.md §7).
-func runRefreshLoop(every time.Duration, dataDir, paramsPath string, dep *core.Deployment, dev *framework.Developer, tk *bls.ThresholdKey, stop <-chan struct{}) {
-	ticker := time.NewTicker(every)
-	defer ticker.Stop()
+// refreshTick returns the periodic refresh step: each call drives a
+// refresh ceremony and commits the rotated key to the data directory
+// and the parameters file. Two invariants: a ceremony that failed
+// mid-drive is re-driven with the SAME package on later ticks (held in
+// memory, and on disk with -data) — never replaced by a fresh one for
+// the same epoch, which would strand the domains that already applied
+// it; and epochs advanced by an external coordinator (dtclient refresh
+// rewrites the parameters file) are adopted before each tick so the
+// steps never wedge on a stale notion of "current". The deployment
+// assumes a single ACTIVE coordinator at a time (DESIGN.md §7).
+func refreshTick(dataDir, paramsPath string, dep *core.Deployment, dev *framework.Developer, tk *bls.ThresholdKey) func() {
 	cur := tk
 	var ref *bls.Refresh // in-flight package, retained across failed ticks
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-		}
+	tick := func() error {
 		// Adopt an externally advanced epoch from the shared public
 		// record (same group key, higher epoch).
 		if file, err := deployfile.Read(paramsPath); err == nil {
 			if pk, err := file.ThresholdKey(); err == nil && pk != nil &&
 				pk.GroupKey.Equal(&cur.GroupKey) && pk.Epoch > cur.Epoch {
-				logger.Info("adopting externally advanced epoch", "epoch", pk.Epoch, "path", paramsPath)
+				kit.Logger.Info("adopting externally advanced epoch", "epoch", pk.Epoch, "path", paramsPath)
 				cur = pk
 			}
 		}
@@ -523,14 +406,12 @@ func runRefreshLoop(every time.Duration, dataDir, paramsPath string, dep *core.D
 		}
 		if ref == nil && dataDir != "" {
 			var err error
-			ref, err = deployfile.ReadRefresh(pendingRefreshPath(dataDir))
-			if err != nil {
-				logger.Warn("refresh", "err", err)
-				continue
+			if ref, err = deployfile.ReadRefresh(pendingRefreshPath(dataDir)); err != nil {
+				return err
 			}
 			if ref != nil && ref.NewEpoch != cur.Epoch+1 {
 				if err := deployfile.RemoveRefresh(pendingRefreshPath(dataDir)); err != nil {
-					logger.Warn("refresh", "err", err)
+					kit.Logger.Warn("refresh", "err", err)
 				}
 				ref = nil
 			}
@@ -538,41 +419,38 @@ func runRefreshLoop(every time.Duration, dataDir, paramsPath string, dep *core.D
 		if ref == nil {
 			next, err := bls.NewRefresh(cur)
 			if err != nil {
-				logger.Warn("refresh", "err", err)
-				continue
+				return err
 			}
 			// Durable-intent first: a crash mid-ceremony must find the
 			// exact package on disk so the restart can re-drive it.
 			if dataDir != "" {
 				if err := deployfile.WriteRefresh(pendingRefreshPath(dataDir), next); err != nil {
-					logger.Warn("refresh", "err", err)
-					continue
+					return err
 				}
 			}
 			ref = next
 		}
 		if err := blsapp.RunRefreshCeremony(dep, ref, dev); err != nil {
-			logger.Warn("refresh ceremony failed; re-driving the same package next tick", "epoch", ref.NewEpoch, "err", err)
-			continue
+			return fmt.Errorf("ceremony to epoch %d failed; re-driving the same package next tick: %w", ref.NewEpoch, err)
 		}
 		if dataDir != "" {
 			if err := writeThresholdState(dataDir, ref.NewKey); err != nil {
-				logger.Warn("refresh", "err", err)
-				continue
+				return err
 			}
 		}
-		file := deployfile.FromParams(dep.Params(), ref.NewKey)
-		if err := file.Write(paramsPath); err != nil {
-			logger.Warn("refresh", "err", err)
-			continue
+		if err := deployfile.FromParams(dep.Params(), ref.NewKey).Write(paramsPath); err != nil {
+			return err
 		}
+		cur, ref = ref.NewKey, nil
+		kit.Logger.Info("shares refreshed (group key unchanged)", "epoch", cur.Epoch)
 		if dataDir != "" {
-			if err := deployfile.RemoveRefresh(pendingRefreshPath(dataDir)); err != nil {
-				logger.Warn("refresh", "err", err)
-			}
+			return deployfile.RemoveRefresh(pendingRefreshPath(dataDir))
 		}
-		cur = ref.NewKey
-		ref = nil
-		logger.Info("shares refreshed (group key unchanged)", "epoch", cur.Epoch)
+		return nil
+	}
+	return func() {
+		if err := tick(); err != nil {
+			kit.Logger.Warn("refresh", "err", err)
+		}
 	}
 }

@@ -275,13 +275,6 @@ func (p *G1Jac) Add(a, b *G1Jac) *G1Jac {
 	return p
 }
 
-// AddAffine sets p = a + b where b is affine, and returns p.
-func (p *G1Jac) AddAffine(a *G1Jac, b *G1Affine) *G1Jac {
-	var bj G1Jac
-	bj.FromAffine(b)
-	return p.Add(a, &bj)
-}
-
 // ScalarMultBig sets p = k*q for a non-negative big integer k and returns p.
 func (p *G1Jac) ScalarMultBig(q *G1Jac, k *big.Int) *G1Jac {
 	if k.Sign() < 0 {

@@ -113,20 +113,3 @@ func lengthPrefixed(b []byte) []byte {
 	copy(out[4:], b)
 	return out
 }
-
-// HashToFr hashes arbitrary bytes to a scalar, for challenge derivation.
-func HashToFr(domain string, parts ...[]byte) ff.Fr {
-	h := sha256.New()
-	h.Write([]byte(domain))
-	for _, p := range parts {
-		h.Write(lengthPrefixed(p))
-	}
-	d1 := h.Sum(nil)
-	h2 := sha256.New()
-	h2.Write([]byte(domain + "/2"))
-	h2.Write(d1)
-	d2 := h2.Sum(nil)
-	var z ff.Fr
-	z.SetBytesWide(append(d1, d2...))
-	return z
-}

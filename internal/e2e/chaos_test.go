@@ -255,7 +255,7 @@ func TestChaosPartitionHeal(t *testing.T) {
 	startDaemon(t, filepath.Join(tmp, "auditord.log"), auditordBin,
 		"-sources", "mon="+monRPC, "-listen", audRPC, "-metrics", audMetrics,
 		"-name", "w1", "-subscribe", "-interval", "150ms",
-		"-debug-hooks", "-fault-schedule", sched, "-fault-target", "auditord")
+		"-debug-hooks", "-fault-schedule", sched)
 	waitReady(t, audMetrics)
 	saveFlightOnFailure(t, "auditord", audMetrics)
 	saveFlightOnFailure(t, "monitord", monMetrics)
@@ -413,7 +413,7 @@ func TestChaosWALFaults(t *testing.T) {
 		startDaemon(t, filepath.Join(dir, "monitord.log"), monitordBin,
 			"-params", paramsPath, "-listen", monRPC, "-metrics", monMetrics,
 			"-name", "mon", "-data", filepath.Join(dir, "data"),
-			"-debug-hooks", "-fault-schedule", sched, "-fault-target", "monitord")
+			"-debug-hooks", "-fault-schedule", sched)
 		waitReady(t, monMetrics)
 		saveFlightOnFailure(t, "monitord", monMetrics)
 		mc, err := transport.Dial(monRPC)
@@ -448,7 +448,7 @@ func TestChaosWALFaults(t *testing.T) {
 		startDaemon(t, filepath.Join(dir, "monitord.log"), monitordBin,
 			"-params", paramsPath, "-listen", monRPC, "-metrics", monMetrics,
 			"-name", "mon", "-data", filepath.Join(dir, "data"),
-			"-debug-hooks", "-fault-schedule", sched, "-fault-target", "monitord")
+			"-debug-hooks", "-fault-schedule", sched)
 		waitReady(t, monMetrics)
 		saveFlightOnFailure(t, "monitord", monMetrics)
 		mc, err := transport.Dial(monRPC)
@@ -519,7 +519,7 @@ func TestChaosRefreshInterrupted(t *testing.T) {
 	startDaemon(t, filepath.Join(tmp, "trustdomaind.log"), trustdomaindBin,
 		"-params", paramsPath, "-data", filepath.Join(tmp, "tdd-data"),
 		"-metrics", metricsAddr,
-		"-debug-hooks", "-fault-schedule", sched, "-fault-target", "trustdomaind")
+		"-debug-hooks", "-fault-schedule", sched)
 	waitReady(t, metricsAddr)
 	saveFlightOnFailure(t, "trustdomaind", metricsAddr)
 	// The parameters file lands right after the metrics endpoint; wait

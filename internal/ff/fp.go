@@ -52,8 +52,6 @@ var (
 	fpSqrtExp = new(big.Int).Rsh(new(big.Int).Add(fpP, big.NewInt(1)), 2)
 	// fpInvExp = p-2, the inversion exponent (Fermat).
 	fpInvExp = new(big.Int).Sub(fpP, big.NewInt(2))
-	// fpLegendreExp = (p-1)/2.
-	fpLegendreExp = new(big.Int).Rsh(new(big.Int).Sub(fpP, big.NewInt(1)), 1)
 )
 
 // montInv computes -m^-1 mod 2^64 by Newton iteration.
@@ -302,13 +300,6 @@ func (z *Fp) Mul(a, b *Fp) *Fp {
 // Square sets z = a^2 and returns z.
 func (z *Fp) Square(a *Fp) *Fp { return z.Mul(a, a) }
 
-// MulUint64 sets z = a * v for a small scalar v.
-func (z *Fp) MulUint64(a *Fp, v uint64) *Fp {
-	var s Fp
-	s.SetUint64(v)
-	return z.Mul(a, &s)
-}
-
 // Exp sets z = a^e for a non-negative exponent e and returns z.
 func (z *Fp) Exp(a *Fp, e *big.Int) *Fp {
 	if e.Sign() < 0 {
@@ -347,16 +338,6 @@ func (z *Fp) Sqrt(a *Fp) (*Fp, bool) {
 	}
 	*z = s
 	return z, true
-}
-
-// IsQuadraticResidue reports whether a is a square in Fp (0 counts as one).
-func (z *Fp) IsQuadraticResidue() bool {
-	if z.IsZero() {
-		return true
-	}
-	var l Fp
-	l.Exp(z, fpLegendreExp)
-	return l.IsOne()
 }
 
 // Sign returns the "sign" of z defined as the parity of the canonical value,

@@ -107,14 +107,6 @@ func (z *Fp6) Mul(a, b *Fp6) *Fp6 {
 // Square sets z = a^2 and returns z.
 func (z *Fp6) Square(a *Fp6) *Fp6 { return z.Mul(a, a) }
 
-// MulByFp2 sets z = a * s for an Fp2 scalar s.
-func (z *Fp6) MulByFp2(a *Fp6, s *Fp2) *Fp6 {
-	z.C0.Mul(&a.C0, s)
-	z.C1.Mul(&a.C1, s)
-	z.C2.Mul(&a.C2, s)
-	return z
-}
-
 // MulByV sets z = a * v, i.e. (c2*xi, c0, c1), and returns z.
 func (z *Fp6) MulByV(a *Fp6) *Fp6 {
 	var c0 Fp2

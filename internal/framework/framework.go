@@ -155,11 +155,6 @@ type stagedUpdate struct {
 // Option configures a Framework.
 type Option func(*Framework)
 
-// WithGasLimit overrides the per-invocation gas limit.
-func WithGasLimit(gas uint64) Option {
-	return func(f *Framework) { f.gas = gas }
-}
-
 // WithFrozen disables updates entirely: §3.3's recommendation for highly
 // sensitive applications whose developers disable their own update path.
 func WithFrozen() Option {

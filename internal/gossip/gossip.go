@@ -102,6 +102,7 @@ type Witness struct {
 	proofKeys   map[string]bool // dedupe
 
 	// Persistence (nil for in-memory witnesses; see OpenWitness).
+	durable    bool // set by OpenWitness; journal is nil once closed
 	journal    *store.Journal
 	journalErr error
 	replaying  bool
@@ -210,17 +211,6 @@ func (w *Witness) AddWitness(pk *bls.PublicKey) error {
 		}
 	}
 	return nil
-}
-
-// WitnessKeys returns the accepted cosigner set.
-func (w *Witness) WitnessKeys() []*bls.PublicKey {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make([]*bls.PublicKey, 0, len(w.witnesses))
-	for _, pk := range w.witnesses {
-		out = append(out, pk)
-	}
-	return out
 }
 
 // SourceNames lists the watched sources.
@@ -385,6 +375,11 @@ func (w *Witness) IngestBatch(ghs []GossipHead) []IngestResult {
 			w.obs.rejected.Inc()
 			continue
 		}
+		if err := w.journalDownLocked(); err != nil {
+			out[i].Err = err
+			w.obs.rejected.Inc()
+			continue
+		}
 		out[i] = w.ingestLocked(items[i].st, &ghs[i])
 		if out[i].Accepted {
 			w.obs.accepted.Inc()
@@ -399,8 +394,17 @@ func (w *Witness) IngestBatch(ghs []GossipHead) []IngestResult {
 		}
 		w.updateFrontierLocked(items[i].st)
 	}
-	// One fsync covers the whole frame's journaled evidence.
+	// One fsync covers the whole frame's journaled evidence. If it fails,
+	// none of the frame's cosignatures is known to be durable, so none is
+	// handed out.
 	w.syncJournalLocked()
+	if err := w.journalDownLocked(); err != nil {
+		for i := range out {
+			if out[i].Accepted {
+				out[i] = IngestResult{Recorded: true, Err: err}
+			}
+		}
+	}
 	return out
 }
 
@@ -423,7 +427,10 @@ func (w *Witness) ingestLocked(st *sourceState, gh *GossipHead) IngestResult {
 			return IngestResult{Proof: proof}
 		}
 		if st.cosigned[head.Size] {
-			co := w.cosignLocked(st, head)
+			co, err := w.cosignLocked(st, head)
+			if err != nil {
+				return IngestResult{Recorded: true, Err: err}
+			}
 			return IngestResult{Accepted: true, Recorded: true, Cosig: &co}
 		}
 		// Recorded earlier without a cosignature (no anchor at the time);
@@ -448,15 +455,20 @@ func (w *Witness) ingestLocked(st *sourceState, gh *GossipHead) IngestResult {
 		}
 	}
 
+	// The cosignature is journaled before the frontier moves: a witness
+	// that could not journal it neither hands it out nor advances.
 	accept := func() IngestResult {
 		record(true)
+		co, err := w.cosignLocked(st, head)
+		if err != nil {
+			return IngestResult{Recorded: true, Err: err}
+		}
 		st.cosigned[head.Size] = true
 		if !st.hasFrontier || head.Size > st.frontier {
 			st.frontier = head.Size
 			st.hasFrontier = true
 			w.flight.Load().Record("gossip", "frontier_advance", st.name, head.Size, obsv.TraceContext{})
 		}
-		co := w.cosignLocked(st, head)
 		return IngestResult{Accepted: true, Recorded: true, Cosig: &co}
 	}
 
@@ -510,24 +522,28 @@ func (w *Witness) ingestLocked(st *sourceState, gh *GossipHead) IngestResult {
 }
 
 // cosignLocked produces (and remembers) this witness's cosignature over a
-// head it has verified. Caller holds w.mu.
-func (w *Witness) cosignLocked(st *sourceState, head aolog.BLSSignedHead) Cosignature {
+// head it has verified. A durable witness first journals it, and fails
+// with ErrJournalUnavailable when it cannot. Caller holds w.mu.
+func (w *Witness) cosignLocked(st *sourceState, head aolog.BLSSignedHead) (Cosignature, error) {
 	key := hex.EncodeToString(w.pkb)
 	if m := st.cosigs[head.Size]; m != nil {
 		if co, ok := m[key]; ok {
-			return co
+			return co, nil
 		}
 	}
 	sig := w.sk.Sign(CosignMessage(st.pkb, head.Size, head.Head))
 	sb := sig.Bytes()
 	co := Cosignature{Witness: append([]byte{}, w.pkb...), Sig: sb[:]}
+	w.journalEvent(evCosig, &cosigEvent{SourcePK: st.pkb, Head: head, Cosig: co})
+	if err := w.journalDownLocked(); err != nil {
+		return Cosignature{}, err
+	}
 	w.obs.cosigns.Inc()
 	if st.cosigs[head.Size] == nil {
 		st.cosigs[head.Size] = make(map[string]Cosignature)
 	}
 	st.cosigs[head.Size][key] = co
-	w.journalEvent(evCosig, &cosigEvent{SourcePK: st.pkb, Head: head, Cosig: co})
-	return co
+	return co, nil
 }
 
 // mergeCosigLocked stores a signature-verified cosignature, provided the

@@ -3,6 +3,7 @@ package gossip
 import (
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -101,6 +102,7 @@ func OpenWitness(dir string, cfg Config) (*Witness, *WitnessRecovery, error) {
 		return nil, nil, fmt.Errorf("gossip: witness journal: %w", err)
 	}
 	w.journal = j
+	w.durable = true
 	return w, stats, nil
 }
 
@@ -231,6 +233,28 @@ func (w *Witness) journalEvent(kind byte, v any) {
 	}
 }
 
+// ErrJournalUnavailable is the ingest error of a durable witness whose
+// evidence journal is closed or has failed. Such a witness cosigns
+// nothing and keeps its frontiers where they are: a cosignature it
+// could not persist would be forgotten at restart, and the restarted
+// witness could then be led to cosign a conflicting head.
+var ErrJournalUnavailable = errors.New("gossip: witness journal closed or failed")
+
+// journalDownLocked reports ErrJournalUnavailable, with its cause, once a
+// durable witness's journal is closed or has failed; nil otherwise, and
+// always nil for in-memory witnesses. Caller holds w.mu.
+func (w *Witness) journalDownLocked() error {
+	switch {
+	case !w.durable:
+		return nil
+	case w.journalErr != nil:
+		return fmt.Errorf("%w: %v", ErrJournalUnavailable, w.journalErr)
+	case w.journal == nil:
+		return fmt.Errorf("%w: closed", ErrJournalUnavailable)
+	}
+	return nil
+}
+
 // syncJournalLocked makes everything journaled so far durable. Caller
 // holds w.mu.
 func (w *Witness) syncJournalLocked() {
@@ -243,7 +267,8 @@ func (w *Witness) syncJournalLocked() {
 }
 
 // Close flushes and closes the journal (no-op for in-memory witnesses)
-// and reports any persistence error swallowed along the way.
+// and reports any persistence error swallowed along the way. A closed
+// durable witness ingests nothing more (ErrJournalUnavailable).
 func (w *Witness) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -1,6 +1,7 @@
 package gossip
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -172,4 +173,55 @@ func TestWitnessJournalTornTailTolerated(t *testing.T) {
 		t.Fatalf("frontier after torn tail = %+v ok=%v", front, ok)
 	}
 	_ = rec
+}
+
+// TestUnjournaledWitnessStopsCosigning: once a durable witness's journal
+// is closed or has failed, ingest hands out no cosignature and leaves the
+// frontier alone. A cosignature the journal never saw would be forgotten
+// at restart, and the restarted witness, back at the old frontier, could
+// be led to cosign a conflicting head at the same size.
+func TestUnjournaledWitnessStopsCosigning(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		breakJournal func(w *Witness)
+	}{
+		{"closed", func(w *Witness) { w.Close() }},
+		{"failed", func(w *Witness) { w.journal.Close() }}, // the next append fails
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			src := newSourceLog(t, "mon", 4, 5)
+			w, _, err := OpenWitness(dir, Config{Name: "w", Sources: []Source{src.source()}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res := w.Ingest("mon", src.head(), nil); !res.Accepted {
+				t.Fatalf("first head not accepted: %+v", res)
+			}
+			tc.breakJournal(w)
+
+			src.grow(4)
+			cons, err := src.log.ProveConsistencyBetween(5, 9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := w.Ingest("mon", src.head(), cons)
+			if res.Accepted || res.Cosig != nil || !errors.Is(res.Err, ErrJournalUnavailable) {
+				t.Fatalf("ingest with the journal %s = %+v, want no cosignature and ErrJournalUnavailable", tc.name, res)
+			}
+			if front, _ := w.Frontier("mon"); front.Size != 5 {
+				t.Fatalf("frontier advanced to %d with the journal %s", front.Size, tc.name)
+			}
+			w.Close()
+
+			w2, _, err := OpenWitness(dir, Config{Name: "w", Sources: []Source{src.source()}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w2.Close()
+			if front, ok := w2.Frontier("mon"); !ok || front.Size != 5 {
+				t.Fatalf("reopened frontier = %d (ok=%v), want 5", front.Size, ok)
+			}
+		})
+	}
 }

@@ -151,15 +151,6 @@ type Peer struct {
 	c Caller
 }
 
-// DialPeer connects to a witness at addr over a single plain connection.
-func DialPeer(addr string) (*Peer, error) {
-	c, err := transport.Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	return &Peer{c: c}, nil
-}
-
 // NewPeer wraps an existing client (plain or managed).
 func NewPeer(c Caller) *Peer { return &Peer{c: c} }
 

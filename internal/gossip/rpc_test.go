@@ -23,10 +23,11 @@ func startWitness(t *testing.T, w *Witness) string {
 
 func dialPeer(t *testing.T, addr string) *Peer {
 	t.Helper()
-	p, err := DialPeer(addr)
+	c, err := transport.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := NewPeer(c)
 	t.Cleanup(func() { p.Close() })
 	return p
 }

@@ -165,10 +165,11 @@ func TestGossipConvictsForkedMonitor(t *testing.T) {
 	}
 	var peers []*gossip.Peer
 	for _, w := range []*gossip.Witness{w2, w3} {
-		p, err := gossip.DialPeer(srvAddrs[w])
+		c, err := transport.Dial(srvAddrs[w])
 		if err != nil {
 			t.Fatal(err)
 		}
+		p := gossip.NewPeer(c)
 		defer p.Close()
 		peers = append(peers, p)
 	}

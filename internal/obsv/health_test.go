@@ -62,7 +62,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	var poison error
 	health.Set("serve", func() error { return poison })
 	tr := NewTracer(1)
-	h := Handler(reg, health, tr)
+	h := Endpoint{Registry: reg, Health: health, Tracer: tr}.Handler()
 
 	if code, body := get(t, h, "/metrics"); code != 200 || !strings.Contains(body, "endpoint_total 4") {
 		t.Fatalf("/metrics = %d:\n%s", code, body)
@@ -89,10 +89,10 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 
 	// Nil components degrade to empty state, not panics.
-	if code, _ := get(t, Handler(nil, nil, nil), "/metrics"); code != 200 {
+	if code, _ := get(t, Endpoint{}.Handler(), "/metrics"); code != 200 {
 		t.Fatalf("nil-registry /metrics = %d", code)
 	}
-	if code, body := get(t, Handler(nil, nil, nil), "/readyz"); code != 200 || !strings.HasPrefix(body, "ready") {
+	if code, body := get(t, Endpoint{}.Handler(), "/readyz"); code != 200 || !strings.HasPrefix(body, "ready") {
 		t.Fatalf("nil-health /readyz = %d:\n%s", code, body)
 	}
 }
@@ -100,7 +100,7 @@ func TestHTTPEndpoints(t *testing.T) {
 func TestListenAndServe(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("lns_total", "").Inc()
-	ms, err := ListenAndServe("127.0.0.1:0", reg, NewHealth(), nil)
+	ms, err := Endpoint{Registry: reg, Health: NewHealth()}.ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,12 +41,6 @@ type Endpoint struct {
 	SLO      *SLOEngine
 }
 
-// Handler builds the observability mux (compatibility form without the
-// diagnosis endpoints).
-func Handler(reg *Registry, health *Health, tracer *Tracer) http.Handler {
-	return Endpoint{Registry: reg, Health: health, Tracer: tracer}.Handler()
-}
-
 // Handler builds the observability mux.
 func (ep Endpoint) Handler() http.Handler {
 	reg, health, tracer := ep.Registry, ep.Health, ep.Tracer
@@ -116,12 +110,6 @@ type MetricsServer struct {
 	Addr string // bound address (useful with ":0")
 	srv  *http.Server
 	ln   net.Listener
-}
-
-// ListenAndServe starts the observability endpoint on addr and returns
-// once the listener is bound; serving continues in the background.
-func ListenAndServe(addr string, reg *Registry, health *Health, tracer *Tracer) (*MetricsServer, error) {
-	return Endpoint{Registry: reg, Health: health, Tracer: tracer}.ListenAndServe(addr)
 }
 
 // ListenAndServe starts the endpoint's server on addr and returns once

@@ -119,16 +119,6 @@ func (c *proofCache) insertLocked(key cacheKey, val any) {
 	}
 }
 
-// flush drops every entry. In-flight computations finish and reinsert —
-// harmless, since the cache only ever holds immutable facts; flush exists
-// to bound memory, not to fix staleness.
-func (c *proofCache) flush() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = make(map[cacheKey]*list.Element)
-	c.lru.Init()
-}
-
 // cacheStats is a point-in-time counter snapshot.
 type cacheStats struct {
 	Entries   int

@@ -67,16 +67,6 @@ func NewSubscriber(conn net.Conn) *Subscriber {
 	return s
 }
 
-// Dial connects to addr (bounded by transport.DefaultDialTimeout) and
-// returns a running subscriber.
-func Dial(addr string) (*Subscriber, error) {
-	conn, err := net.DialTimeout("tcp", addr, transport.DefaultDialTimeout)
-	if err != nil {
-		return nil, err
-	}
-	return NewSubscriber(conn), nil
-}
-
 // Close tears the connection down; pending calls fail.
 func (s *Subscriber) Close() error {
 	s.mu.Lock()

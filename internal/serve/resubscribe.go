@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/gossip"
-	"repro/internal/transport"
 )
 
 // AutoSubscriber keeps a push subscription alive across connection
@@ -243,13 +242,5 @@ func (a *AutoSubscriber) sleep(attempt int) bool {
 		return false
 	case <-t.C:
 		return true
-	}
-}
-
-// DialAddr returns an AutoOptions.Dial that opens TCP connections to a
-// fixed address with the transport connect timeout.
-func DialAddr(addr string) func() (net.Conn, error) {
-	return func() (net.Conn, error) {
-		return net.DialTimeout("tcp", addr, transport.DefaultDialTimeout)
 	}
 }

@@ -389,65 +389,3 @@ func (m *ManagedClient) clientClosed() bool {
 	defer m.mu.Unlock()
 	return m.isClosed
 }
-
-// Hedge runs attempts against replicas with staggered starts: attempt 0
-// immediately, each subsequent attempt after another hedge delay unless
-// an earlier one already succeeded. The first success cancels the rest
-// and wins; if all fail, the first error is returned. Only hedge
-// idempotent operations — every launched attempt may execute on its
-// replica.
-func Hedge[T any](ctx context.Context, delay time.Duration, attempts []func(context.Context) (T, error)) (T, error) {
-	var zero T
-	if len(attempts) == 0 {
-		return zero, errors.New("transport: hedge: no attempts")
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type result struct {
-		v   T
-		err error
-	}
-	results := make(chan result, len(attempts))
-	launch := func(fn func(context.Context) (T, error)) {
-		go func() {
-			v, err := fn(ctx)
-			results <- result{v, err}
-		}()
-	}
-	launch(attempts[0])
-	next := 1
-	var firstErr error
-	pending := 1
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-	for {
-		select {
-		case r := <-results:
-			pending--
-			if r.err == nil {
-				return r.v, nil
-			}
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			// A failed attempt hedges immediately: no point waiting out
-			// the stagger when we already know we need another replica.
-			if next < len(attempts) {
-				launch(attempts[next])
-				next++
-				pending++
-			} else if pending == 0 {
-				return zero, firstErr
-			}
-		case <-timer.C:
-			if next < len(attempts) {
-				launch(attempts[next])
-				next++
-				pending++
-				timer.Reset(delay)
-			}
-		case <-ctx.Done():
-			return zero, ctx.Err()
-		}
-	}
-}

@@ -313,48 +313,3 @@ func TestCallCtxDeadline(t *testing.T) {
 		t.Fatal("call with expired context deadline returned nil")
 	}
 }
-
-func TestHedge(t *testing.T) {
-	t.Run("slow-first-replica", func(t *testing.T) {
-		slowDone := make(chan struct{})
-		got, err := Hedge(context.Background(), 20*time.Millisecond, []func(context.Context) (string, error){
-			func(ctx context.Context) (string, error) {
-				defer close(slowDone)
-				select {
-				case <-time.After(2 * time.Second):
-					return "slow", nil
-				case <-ctx.Done():
-					return "", ctx.Err()
-				}
-			},
-			func(context.Context) (string, error) { return "fast", nil },
-		})
-		if err != nil || got != "fast" {
-			t.Fatalf("Hedge = %q, %v; want fast", got, err)
-		}
-		<-slowDone // the losing attempt was cancelled, not leaked
-	})
-	t.Run("all-fail", func(t *testing.T) {
-		first := errors.New("first")
-		_, err := Hedge(context.Background(), time.Millisecond, []func(context.Context) (int, error){
-			func(context.Context) (int, error) { return 0, first },
-			func(context.Context) (int, error) { return 0, errors.New("second") },
-		})
-		if !errors.Is(err, first) {
-			t.Fatalf("err = %v, want first attempt's error", err)
-		}
-	})
-	t.Run("failure-hedges-immediately", func(t *testing.T) {
-		start := time.Now()
-		got, err := Hedge(context.Background(), time.Hour, []func(context.Context) (int, error){
-			func(context.Context) (int, error) { return 0, errors.New("down") },
-			func(context.Context) (int, error) { return 7, nil },
-		})
-		if err != nil || got != 7 {
-			t.Fatalf("Hedge = %d, %v", got, err)
-		}
-		if time.Since(start) > time.Second {
-			t.Fatal("failure did not trigger an immediate hedge")
-		}
-	})
-}

@@ -432,21 +432,6 @@ func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 	return &Client{conn: conn}, nil
 }
 
-// DialContext connects to a server address, bounded by the earlier of
-// ctx's deadline and DefaultDialTimeout.
-func DialContext(ctx context.Context, addr string) (*Client, error) {
-	timeout := DefaultDialTimeout
-	if dl, ok := ctx.Deadline(); ok {
-		if rem := time.Until(dl); rem < timeout {
-			timeout = rem
-		}
-	}
-	if timeout <= 0 {
-		return nil, fmt.Errorf("transport: dial %s: %w", addr, context.DeadlineExceeded)
-	}
-	return DialTimeout(addr, timeout)
-}
-
 // NewClient wraps an existing connection.
 func NewClient(conn net.Conn) *Client { return &Client{conn: conn} }
 
